@@ -16,8 +16,9 @@
 //!   actually ran.
 //!
 //! [`cluster::Cluster`] stores the `d`/`b` matrices sparsely
-//! ([`sparse::SparseRow`] per processor), which is what lets it scale to
-//! n ≥ 2¹⁸; the retired flat-arena engine survives as
+//! ([`sparse::SparseRow`]s, inline while they hold at most one class)
+//! in one cache-line record per processor, which is what lets it scale
+//! to n = 2²⁰; the retired flat-arena engine survives as
 //! [`dense::DenseCluster`] and the naive oracle as
 //! [`reference`] — all three are bit-identical, enforced by proptests.
 //!

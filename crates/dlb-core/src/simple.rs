@@ -151,7 +151,10 @@ pub struct SimpleCluster {
     scratch_wave_ops: Vec<usize>,
     scratch_offsets: Vec<usize>,
     scratch_outcomes: Vec<OpOutcome>,
-    /// Lazy min/max heaps backing [`LoadBalancer::load_summary`];
+    /// `(processor, load)` before a batch of executor writes, for the
+    /// summary tracker (filled only while a tracker is installed).
+    scratch_loads_before: Vec<(usize, u64)>,
+    /// Per-load processor counts backing [`LoadBalancer::load_summary`];
     /// observer state, built on the first query (`None` until then, so
     /// unobserved runs pay one branch per load change).
     summary: Option<SummaryTracker>,
@@ -193,19 +196,34 @@ impl SimpleCluster {
             scratch_wave_ops: Vec::new(),
             scratch_offsets: Vec::new(),
             scratch_outcomes: Vec::new(),
+            scratch_loads_before: Vec::new(),
             summary: None,
         }
     }
 
-    /// Feeds processor `i`'s (already updated) load to the summary
-    /// tracker.  Must follow every `self.loads` mutation on a
-    /// sequential path; the balance executor's writes are covered
-    /// per-member in [`SimpleCluster::fold_outcome`] instead.
+    /// Sets processor `i`'s load and reports the change to the summary
+    /// tracker, if one is installed.  Every sequential load write goes
+    /// through here; the balance executor's writes are reported in
+    /// batches by [`SimpleCluster::notes_after`] instead.
     #[inline]
-    fn note_load(&mut self, i: usize) {
+    fn set_load(&mut self, i: usize, new: u64) {
+        let old = std::mem::replace(&mut self.loads[i], new);
         if let Some(tracker) = self.summary.as_mut() {
-            tracker.note(i, &self.loads);
+            tracker.change(old, new);
         }
+    }
+
+    /// Reports the executor's writes to the summary tracker: each
+    /// processor in `before` moved from its recorded load to its current
+    /// one.  The executor writes loads through raw pointers (possibly on
+    /// pool workers); the tracker catches up here, sequentially.
+    fn notes_after(&mut self, mut before: Vec<(usize, u64)>) {
+        if let Some(tracker) = self.summary.as_mut() {
+            let loads = &self.loads;
+            tracker.change_batch(&before, |p| loads[p]);
+        }
+        before.clear();
+        self.scratch_loads_before = before;
     }
 
     fn trace_on(&self) -> bool {
@@ -315,6 +333,10 @@ impl SimpleCluster {
         }
         let tracing = self.trace_on();
         let mut shares = std::mem::take(&mut self.scratch_shares);
+        let mut before = std::mem::take(&mut self.scratch_loads_before);
+        if self.summary.is_some() {
+            before.extend(members.iter().map(|&mm| (mm, self.loads[mm])));
+        }
         let out = {
             let view = LoadsView {
                 loads: self.loads.as_mut_ptr(),
@@ -323,6 +345,7 @@ impl SimpleCluster {
             unsafe { execute_balance(&view, &members, tracing, &mut shares) }
         };
         self.scratch_shares = shares;
+        self.notes_after(before);
         self.fold_outcome(&members, out, tracing);
         members.clear();
         self.scratch_members = members;
@@ -332,14 +355,6 @@ impl SimpleCluster {
     /// order — reconstructing the exact sequential counter sums and
     /// event stream (BalanceInitiated, then PacketsMigrated if any).
     fn fold_outcome(&mut self, members: &[usize], out: OpOutcome, tracing: bool) {
-        // The executor wrote the members' loads through raw pointers
-        // (possibly on pool workers); the summary tracker catches up
-        // here, on the sequential fold.
-        if self.summary.is_some() {
-            for &mm in members {
-                self.note_load(mm);
-            }
-        }
         self.metrics.balance_ops += 1;
         self.metrics.messages += members.len() as u64;
         if tracing {
@@ -372,8 +387,15 @@ impl SimpleCluster {
         let pending = std::mem::take(&mut self.pending_members);
         let lens = std::mem::take(&mut self.pending_lens);
         let count = lens.len();
+        // Clearing the flags visits each touched processor once (at its
+        // first occurrence): exactly the distinct set whose loads the
+        // summary tracker must see before and after the flush.
+        let mut before = std::mem::take(&mut self.scratch_loads_before);
+        let tracked = self.summary.is_some();
         for &p in &pending {
-            self.pending_member[p] = false;
+            if std::mem::take(&mut self.pending_member[p]) && tracked {
+                before.push((p, self.loads[p]));
+            }
         }
         let tracing = self.trace_on();
         let step_jobs = self.step_jobs;
@@ -400,6 +422,7 @@ impl SimpleCluster {
                 self.fold_outcome(members, out, tracing);
             }
             self.scratch_shares = shares;
+            self.notes_after(before);
             let (mut pending, mut lens) = (pending, lens);
             pending.clear();
             lens.clear();
@@ -462,6 +485,7 @@ impl SimpleCluster {
                 }
             }
         }
+        self.notes_after(before);
         for (k, out) in outcomes.iter().enumerate() {
             let members = &pending[offsets[k]..offsets[k] + lens[k] as usize];
             self.fold_outcome(members, *out, tracing);
@@ -535,15 +559,13 @@ impl SimpleCluster {
             }
             match ev {
                 LoadEvent::Generate => {
-                    self.loads[i] += 1;
-                    self.note_load(i);
+                    self.set_load(i, self.loads[i] + 1);
                     self.metrics.generated += 1;
                     self.trigger_check(i);
                 }
                 LoadEvent::Consume => {
                     if self.loads[i] > 0 {
-                        self.loads[i] -= 1;
-                        self.note_load(i);
+                        self.set_load(i, self.loads[i] - 1);
                         self.metrics.consumed += 1;
                         self.trigger_check(i);
                     } else {
@@ -613,14 +635,11 @@ impl LoadBalancer for SimpleCluster {
     }
 
     fn load_summary(&mut self) -> LoadSummary {
-        if self.summary.is_none() {
-            self.summary = Some(SummaryTracker::new(&self.loads));
-        }
+        let loads = &self.loads;
         let (min, max) = self
             .summary
-            .as_mut()
-            .expect("just installed")
-            .min_max(&self.loads);
+            .get_or_insert_with(|| SummaryTracker::new(loads.iter().copied()))
+            .min_max();
         // Packet conservation (checked by `check_invariants`): total
         // load is initial + generated − consumed.
         LoadSummary {

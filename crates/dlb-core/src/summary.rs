@@ -1,89 +1,87 @@
-//! Lazily-maintained exact min/max over a load vector.
+//! Exact min/max over a load vector, kept as a count per distinct load.
 //!
 //! Per-step observers (the CLI recorder, `LoadSample` trace rows) need
 //! only min/max/total, but [`crate::strategy::LoadBalancer::loads`]
-//! hands them an O(n) clone per step — at n ≥ 2¹⁸ the observer
-//! dominates the simulation.  The tracker keeps two *lazy* heaps of
-//! `(load, proc)` candidates: every load change pushes the new value,
-//! stale entries are discarded at query time.  The invariant is that
-//! each processor's **current** value is always present in both heaps
-//! (pushed on its last change, never popped — queries only pop entries
-//! that disagree with the live load vector), so the first agreeing top
-//! is the exact extremum.  A query costs O(stale popped · log) —
-//! amortised O(changes since the last query) — and a change costs two
-//! O(log) pushes, i.e. everything scales with *activity*, not n.
+//! hands them an O(n) clone per step — at n ≥ 2¹⁸ the observer would
+//! dominate the simulation.  The tracker instead holds the multiset of
+//! current loads as an ordered map `load → number of processors with
+//! that load`; min and max are its first and last keys.
 //!
-//! Heaps are compacted (rebuilt from the live vector) when stale
-//! entries outnumber processors 3:1, bounding memory at O(n).
+//! The engine reports each load change as an `(old, new)` pair: one
+//! count moves from `old` to `new`.  Callers already hold the old load
+//! when they write the new one (the balance executors snapshot their
+//! members' loads before a batch), so the tracker needs no O(n)
+//! last-seen vector of its own and no extra random access per change.
+//! A change costs O(log distinct loads) and the tracker's memory is
+//! O(distinct loads) — a few dozen entries at n = 2²⁰, where nearly
+//! every processor holds 0–3 packets.
 //!
-//! Engines construct the tracker lazily on the first
-//! `load_summary()` call, so untracked runs pay a single `Option`
-//! check per load change.
+//! Engines construct the tracker lazily on the first `load_summary()`
+//! call, so untracked runs pay a single `Option` check per load change.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
-/// Lazy min/max candidate heaps over a load vector (see module docs).
+/// Counts of processors per distinct load (see module docs).
 pub(crate) struct SummaryTracker {
-    max_heap: BinaryHeap<(u64, u32)>,
-    min_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    counts: BTreeMap<u64, usize>,
 }
 
 impl SummaryTracker {
-    /// A tracker seeded with every processor's current load.
-    pub fn new(loads: &[u64]) -> Self {
-        let mut tracker = SummaryTracker {
-            max_heap: BinaryHeap::with_capacity(2 * loads.len()),
-            min_heap: BinaryHeap::with_capacity(2 * loads.len()),
-        };
-        tracker.rebuild(loads);
-        tracker
+    /// A tracker holding every processor's current load.
+    pub fn new(loads: impl IntoIterator<Item = u64>) -> Self {
+        let mut counts = BTreeMap::new();
+        for l in loads {
+            *counts.entry(l).or_insert(0) += 1;
+        }
+        SummaryTracker { counts }
     }
 
-    /// Drops every stale entry by rebuilding from the live vector.
-    fn rebuild(&mut self, loads: &[u64]) {
-        self.max_heap.clear();
-        self.min_heap.clear();
-        self.max_heap
-            .extend(loads.iter().enumerate().map(|(i, &l)| (l, i as u32)));
-        self.min_heap.extend(
-            loads
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| Reverse((l, i as u32))),
-        );
-    }
-
-    /// Records processor `i`'s new load (`loads[i]` already updated).
+    /// Records one processor's load moving from `old` to `new`.
     #[inline]
-    pub fn note(&mut self, i: usize, loads: &[u64]) {
-        let l = loads[i];
-        self.max_heap.push((l, i as u32));
-        self.min_heap.push(Reverse((l, i as u32)));
-        if self.max_heap.len() > 4 * loads.len() {
-            self.rebuild(loads);
+    pub fn change(&mut self, old: u64, new: u64) {
+        if old == new {
+            return;
+        }
+        let count = self
+            .counts
+            .get_mut(&old)
+            .expect("old load is a tracked load");
+        *count -= 1;
+        if *count == 0 {
+            self.counts.remove(&old);
+        }
+        *self.counts.entry(new).or_insert(0) += 1;
+    }
+
+    /// Records a batch of writes: `before` holds `(processor, load
+    /// before the batch)` for each distinct processor the batch touched,
+    /// `load` reads a processor's load after it.
+    pub fn change_batch(&mut self, before: &[(usize, u64)], load: impl Fn(usize) -> u64) {
+        for &(p, old) in before {
+            self.change(old, load(p));
         }
     }
 
-    /// Exact `(min, max)` of the live vector.  Pops entries that
-    /// disagree with `loads`; an agreeing top is never popped, so each
-    /// processor's latest entry survives for the next query.
-    pub fn min_max(&mut self, loads: &[u64]) -> (u64, u64) {
-        let max = loop {
-            let &(l, i) = self.max_heap.peek().expect("tracker covers every proc");
-            if loads[i as usize] == l {
-                break l;
-            }
-            self.max_heap.pop();
-        };
-        let min = loop {
-            let &Reverse((l, i)) = self.min_heap.peek().expect("tracker covers every proc");
-            if loads[i as usize] == l {
-                break l;
-            }
-            self.min_heap.pop();
-        };
+    /// Exact `(min, max)` of the tracked loads.
+    pub fn min_max(&self) -> (u64, u64) {
+        let (&min, _) = self
+            .counts
+            .first_key_value()
+            .expect("tracker covers every proc");
+        let (&max, _) = self
+            .counts
+            .last_key_value()
+            .expect("tracker covers every proc");
         (min, max)
+    }
+
+    /// Estimated heap bytes of the map: a B-tree node holds up to 11
+    /// entries and every node but the root is at least half full, so
+    /// there are at most `len / 5 + 1` nodes; each is charged as an
+    /// internal node (keys, values, 12 child pointers and the header).
+    pub fn heap_bytes(&self) -> usize {
+        const NODE_BYTES: usize = 11 * (8 + 8) + 12 * 8 + 16;
+        (self.counts.len() / 5 + 1) * NODE_BYTES
     }
 }
 
@@ -93,19 +91,33 @@ mod tests {
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
+    /// Applies `loads[i] = new` through the tracker.
+    fn set(tracker: &mut SummaryTracker, loads: &mut [u64], i: usize, new: u64) {
+        tracker.change(loads[i], new);
+        loads[i] = new;
+    }
+
+    fn assert_exact(tracker: &SummaryTracker, loads: &[u64], ctx: &str) {
+        let (min, max) = tracker.min_max();
+        assert_eq!(min, *loads.iter().min().unwrap(), "{ctx}");
+        assert_eq!(max, *loads.iter().max().unwrap(), "{ctx}");
+        assert_eq!(
+            tracker.counts.values().sum::<usize>(),
+            loads.len(),
+            "{ctx}: one count per processor"
+        );
+    }
+
     #[test]
     fn tracks_extrema_through_random_mutations() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut loads: Vec<u64> = (0..50).map(|_| rng.gen_range(0..100)).collect();
-        let mut tracker = SummaryTracker::new(&loads);
+        let mut tracker = SummaryTracker::new(loads.iter().copied());
         for round in 0..2000 {
             let i = rng.gen_range(0..loads.len());
-            loads[i] = rng.gen_range(0..100);
-            tracker.note(i, &loads);
+            set(&mut tracker, &mut loads, i, rng.gen_range(0..100));
             if round % 7 == 0 {
-                let (min, max) = tracker.min_max(&loads);
-                assert_eq!(min, *loads.iter().min().unwrap(), "round {round}");
-                assert_eq!(max, *loads.iter().max().unwrap(), "round {round}");
+                assert_exact(&tracker, &loads, &format!("round {round}"));
             }
         }
     }
@@ -113,26 +125,64 @@ mod tests {
     #[test]
     fn repeated_queries_between_mutations_are_stable() {
         let mut loads = vec![5, 1, 9, 3];
-        let mut tracker = SummaryTracker::new(&loads);
-        assert_eq!(tracker.min_max(&loads), (1, 9));
-        assert_eq!(tracker.min_max(&loads), (1, 9));
-        loads[2] = 0;
-        tracker.note(2, &loads);
-        assert_eq!(tracker.min_max(&loads), (0, 5));
-        assert_eq!(tracker.min_max(&loads), (0, 5));
+        let mut tracker = SummaryTracker::new(loads.iter().copied());
+        assert_eq!(tracker.min_max(), (1, 9));
+        assert_eq!(tracker.min_max(), (1, 9));
+        set(&mut tracker, &mut loads, 2, 0);
+        assert_eq!(tracker.min_max(), (0, 5));
+        assert_eq!(tracker.min_max(), (0, 5));
     }
 
     #[test]
-    fn compaction_bounds_memory() {
+    fn memory_scales_with_distinct_loads_not_changes() {
         let mut loads = vec![0u64; 8];
-        let mut tracker = SummaryTracker::new(&loads);
+        let mut tracker = SummaryTracker::new(loads.iter().copied());
         for k in 0..10_000u64 {
-            loads[(k % 8) as usize] = k;
-            tracker.note((k % 8) as usize, &loads);
+            set(&mut tracker, &mut loads, (k % 8) as usize, k);
         }
-        assert!(tracker.max_heap.len() <= 4 * loads.len());
-        let (min, max) = tracker.min_max(&loads);
-        assert_eq!(min, *loads.iter().min().unwrap());
-        assert_eq!(max, *loads.iter().max().unwrap());
+        assert_eq!(tracker.counts.len(), 8, "one entry per distinct load");
+        assert_exact(&tracker, &loads, "after churn");
+    }
+
+    #[test]
+    fn all_equal_loads() {
+        let mut loads = vec![7u64; 1000];
+        let mut tracker = SummaryTracker::new(loads.iter().copied());
+        assert_eq!(tracker.min_max(), (7, 7));
+        assert_eq!(tracker.counts.len(), 1);
+        // A no-op change leaves the counts alone.
+        set(&mut tracker, &mut loads, 3, 7);
+        assert_eq!(tracker.counts[&7], 1000);
+        set(&mut tracker, &mut loads, 3, 8);
+        assert_eq!(tracker.min_max(), (7, 8));
+        set(&mut tracker, &mut loads, 3, 7);
+        assert_eq!(tracker.min_max(), (7, 7));
+        assert_eq!(tracker.counts.len(), 1, "emptied counts are removed");
+    }
+
+    #[test]
+    fn very_large_loads() {
+        let mut loads = vec![u64::MAX, 0, u64::MAX - 1, 1 << 63];
+        let mut tracker = SummaryTracker::new(loads.iter().copied());
+        assert_eq!(tracker.min_max(), (0, u64::MAX));
+        set(&mut tracker, &mut loads, 0, 1 << 62);
+        assert_eq!(tracker.min_max(), (0, u64::MAX - 1));
+        set(&mut tracker, &mut loads, 1, u64::MAX);
+        assert_exact(&tracker, &loads, "max load as a new maximum");
+    }
+
+    #[test]
+    fn batches_fold_like_single_changes() {
+        let mut loads = vec![4u64, 0, 9, 2, 2];
+        let mut tracker = SummaryTracker::new(loads.iter().copied());
+        let before: Vec<(usize, u64)> = [0usize, 2, 4].iter().map(|&p| (p, loads[p])).collect();
+        // Two writes to processor 2 inside one batch count once.
+        loads[0] = 5;
+        loads[2] = 1;
+        loads[2] = 5;
+        loads[4] = 5;
+        tracker.change_batch(&before, |p| loads[p]);
+        assert_exact(&tracker, &loads, "after batch");
+        assert_eq!(tracker.counts[&5], 3);
     }
 }

@@ -22,7 +22,9 @@
 //! climbs to n = 2¹⁸ and records `state_bytes`/`bytes_per_proc` — the
 //! witness that memory scales with active classes, not n².  Two dense
 //! u64 matrices would cost 16·n bytes per processor (4 MiB at n = 2¹⁸);
-//! the binary asserts the sparse engine stays under 4 KiB.
+//! the binary asserts the engine stays within a bytes-per-processor
+//! bound set from the measured footprint (see `LARGE_MAX_BYTES_PER_PROC`
+//! and the smoke bounds next to it).
 //!
 //! Since PR 10 the binary also times the *event-driven* path: a
 //! `sparse_step` section steps the full engine at n = 2²⁰ through
@@ -42,7 +44,8 @@
 //! writing JSON — the CI gate that the sparse engine actually reaches
 //! 10⁵-processor scale.  `--sparse-smoke` runs one time-bounded
 //! event-driven cell (n = 2²⁰, 1 % activity) with its dense equivalence
-//! witness and exits without writing JSON.  `--check <baseline>`
+//! witness and exits without writing JSON.  Both smokes also gate the
+//! memory layout with a bytes-per-processor bound.  `--check <baseline>`
 //! re-runs the baseline's matrix (including its `large` and
 //! `sparse_step` rows, if present) and exits non-zero if any checksum
 //! differs from the committed file (timings are machine-dependent;
@@ -191,6 +194,28 @@ fn matrix(smoke: bool) -> (&'static [usize], usize, usize) {
 const LARGE_SIZES: [usize; 3] = [16_384, 65_536, 262_144];
 const LARGE_STEPS: usize = 120;
 
+/// Memory-layout regression gates on `state_bytes() / n` — the 64-byte
+/// processor record, spilled rows, the three ledgers and the
+/// load-summary tracker.  Each is the value measured when the
+/// cache-line record layout landed plus ~25 % headroom, so a change
+/// that pushes the record past one cache line or spills single-class
+/// rows fails the gate instead of silently costing memory bandwidth.
+/// `large` rows (120 paper-workload steps, n = 2¹⁴..2¹⁸): 457–459 B.
+const LARGE_MAX_BYTES_PER_PROC: usize = 576;
+/// `--large-smoke` (n = 65536, 40 paper-workload steps): 281 B.
+const LARGE_SMOKE_MAX_BYTES_PER_PROC: usize = 352;
+/// `--sparse-smoke` (n = 2²⁰, 100 steps at 1 % activity, almost every
+/// row inline): 88 B.
+const SPARSE_SMOKE_MAX_BYTES_PER_PROC: usize = 110;
+
+/// The engine's state footprint as an observed run pays it: `dlb run`
+/// queries the load summary every step, which installs its tracker, so
+/// the tracker is installed (outside any timing) before measuring.
+fn observed_state_bytes(cluster: &mut Cluster) -> usize {
+    cluster.load_summary();
+    cluster.state_bytes()
+}
+
 /// One row of the `large` section.
 struct LargeCell {
     n: usize,
@@ -202,8 +227,8 @@ struct LargeCell {
 
 /// Times the full engine once at `n` on the paper workload and captures
 /// the final sparse-state footprint.  Invariant-checks the final state
-/// and asserts the memory bound that makes this scale reachable at all.
-fn run_large_cell(n: usize, steps: usize) -> LargeCell {
+/// and asserts the per-processor memory bound `max_per_proc`.
+fn run_large_cell(n: usize, steps: usize, max_per_proc: usize) -> LargeCell {
     let trace = paper_trace(n, steps, 9);
     let params = Params::paper_section7(n);
     let mut cluster = Cluster::new(params, 1);
@@ -216,11 +241,11 @@ fn run_large_cell(n: usize, steps: usize) -> LargeCell {
     }
     let full_ms = t0.elapsed().as_secs_f64() * 1e3;
     cluster.check_invariants().expect("large-n invariants");
-    let state_bytes = cluster.state_bytes();
+    let state_bytes = observed_state_bytes(&mut cluster);
     let per_proc = state_bytes / n;
     assert!(
-        per_proc < 4096,
-        "sparse state must stay far below the dense 16·n B/proc: \
+        per_proc <= max_per_proc,
+        "state must stay within {max_per_proc} B/proc (the dense engine paid 16·n): \
          n={n} uses {per_proc} B/proc"
     );
     LargeCell {
@@ -251,6 +276,7 @@ struct SparseCell {
     sparse_ms: f64,
     dense_ms: f64,
     fp: String,
+    state_bytes: usize,
 }
 
 /// Times the full engine through `step_sparse` at `n` with the given
@@ -271,6 +297,7 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize) -> SparseCell {
     let sparse_ms = t0.elapsed().as_secs_f64() * 1e3;
     cluster.check_invariants().expect("sparse-step invariants");
     let fp = fingerprint(&cluster);
+    let state_bytes = observed_state_bytes(&mut cluster);
 
     let mut workload = SparseActivity::new(n, pattern, 9);
     let mut dense = Cluster::new(params, 1);
@@ -295,6 +322,7 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize) -> SparseCell {
         sparse_ms,
         dense_ms,
         fp,
+        state_bytes,
     }
 }
 
@@ -306,13 +334,24 @@ fn sparse_smoke() -> ! {
     println!("bench_core --sparse-smoke: full engine, n={n}, {steps} steps, 1% activity\n");
     let cell = run_sparse_cell(n, gap, steps);
     println!(
-        "  n={:<8} sparse {:>9.2} ms  dense {:>9.2} ms  ({})  {:.0} active/step",
-        cell.n, cell.sparse_ms, cell.dense_ms, cell.fp, cell.active_per_step
+        "  n={:<8} sparse {:>9.2} ms  dense {:>9.2} ms  ({})  {:.0} active/step  {} B/proc",
+        cell.n,
+        cell.sparse_ms,
+        cell.dense_ms,
+        cell.fp,
+        cell.active_per_step,
+        cell.state_bytes / cell.n
     );
     assert!(
         cell.sparse_ms < 60_000.0,
         "sparse smoke must finish {steps} steps at n={n} in < 60 s, took {:.0} ms",
         cell.sparse_ms
+    );
+    let per_proc = cell.state_bytes / n;
+    assert!(
+        per_proc <= SPARSE_SMOKE_MAX_BYTES_PER_PROC,
+        "sparse smoke state must stay within {SPARSE_SMOKE_MAX_BYTES_PER_PROC} B/proc, \
+         uses {per_proc} B/proc"
     );
     std::process::exit(0);
 }
@@ -418,7 +457,7 @@ fn check_against(baseline_path: &str) -> ! {
                 .and_then(Json::as_f64)
                 .expect("large steps") as usize;
             let want = field(row, "full_checksum");
-            let cell = run_large_cell(n, steps);
+            let cell = run_large_cell(n, steps, LARGE_MAX_BYTES_PER_PROC);
             if want == cell.full_fp {
                 println!("  n={n:<6} large  full    ok    {}", cell.full_fp);
             } else {
@@ -471,7 +510,7 @@ fn check_against(baseline_path: &str) -> ! {
 fn large_smoke() -> ! {
     let (n, steps) = (65_536usize, 40usize);
     println!("bench_core --large-smoke: full engine, n={n}, {steps} steps\n");
-    let cell = run_large_cell(n, steps);
+    let cell = run_large_cell(n, steps, LARGE_SMOKE_MAX_BYTES_PER_PROC);
     println!(
         "  n={:<6} full {:>10.2} ms  ({})  {} B/proc",
         cell.n,
@@ -559,7 +598,7 @@ fn main() {
     if !smoke {
         println!();
         for n in LARGE_SIZES {
-            let cell = run_large_cell(n, LARGE_STEPS);
+            let cell = run_large_cell(n, LARGE_STEPS, LARGE_MAX_BYTES_PER_PROC);
             println!(
                 "  n={:<6} large full {:>10.2} ms  ({})  {} B/proc",
                 cell.n,

@@ -11,8 +11,16 @@
 //!   regression tests.
 //! - [`ToJson`] / [`FromJson`] are implemented by hand per type; parse
 //!   errors are `String`s with context.
+//! - Nesting is capped at [`MAX_DEPTH`] arrays/objects, so hostile input
+//!   (say 50,000 `[`) is a parse error rather than a stack overflow.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.  Scenarios,
+/// trace lines and benchmark baselines nest fewer than ten levels; the
+/// cap only exists so the recursive-descent parser cannot exhaust the
+/// stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,11 +99,13 @@ impl Json {
         }
     }
 
-    /// Parses JSON text.
+    /// Parses JSON text.  Nesting deeper than [`MAX_DEPTH`] is an error
+    /// naming the depth and the byte offset of the offending bracket.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -225,6 +235,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -266,8 +278,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected '{}' at byte {}",
@@ -712,6 +738,30 @@ mod tests {
         assert!(u8::from_json(&Json::Int(300)).is_err());
         assert!(req::<u64>(&Json::Obj(vec![]), "n").is_err());
         assert_eq!(field_or(&Json::Obj(vec![]), "n", 7u64).unwrap(), 7);
+    }
+
+    #[test]
+    fn nesting_depth_is_capped_with_a_clean_error() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let mixed = format!(
+            "{}1{}",
+            "[{\"k\":".repeat(MAX_DEPTH / 2),
+            "}]".repeat(MAX_DEPTH / 2)
+        );
+        assert!(Json::parse(&mixed).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&over).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        // Far past the cap the parser stops at the same bracket instead
+        // of recursing until the stack overflows.
+        let err = Json::parse(&"[".repeat(50_000)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let err = Json::parse(&format!("{}{}", "{\"a\":".repeat(MAX_DEPTH), "{}")).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]
