@@ -726,6 +726,17 @@ impl Scenario {
         if !(0.0..1.0).contains(&self.warmup_fraction) {
             return Err("warmup_fraction must lie in [0, 1)".into());
         }
+        let all = std::iter::once(&self.strategy).chain(&self.balancer);
+        for (i, strategy) in all.enumerate() {
+            if let StrategyConfig::Full { delta, .. } | StrategyConfig::FullDense { delta, .. } =
+                strategy
+            {
+                dlb_core::check_full_group(*delta).map_err(|e| match i {
+                    0 => format!("strategy.delta: {e}"),
+                    _ => format!("balancer[{}].delta: {e}", i - 1),
+                })?;
+            }
+        }
         for strategy in std::iter::once(&self.strategy).chain(&self.balancer) {
             if let StrategyConfig::Weighted { speeds, .. } = strategy {
                 if speeds.len() != self.n {
@@ -827,6 +838,19 @@ mod tests {
         });
         assert!(s.validate().unwrap_err().contains("faults"));
         assert!(Scenario::from_json("{").is_err());
+        let mut s = Scenario::demo();
+        s.balancer = vec![StrategyConfig::Full {
+            delta: 63,
+            f: 1.1,
+            c: 4,
+        }];
+        assert!(s.validate().is_ok(), "delta = 63 fills a group of 64");
+        s.balancer[0] = StrategyConfig::Full {
+            delta: 64,
+            f: 1.1,
+            c: 4,
+        };
+        assert!(s.validate().unwrap_err().starts_with("balancer[0].delta: "));
     }
 
     #[test]

@@ -13,6 +13,96 @@
 //! member totals lie in `{v, v+1}` with `k` members at `v` and the class
 //! has `r ≤ m` leftovers, the leftovers go to the `k` members at `v`
 //! first; the result again lies in a window of width one.
+//!
+//! [`distribute_classes`] evaluates the rule literally, sorting the
+//! members by `(running total, slot)` for every class with leftovers; it
+//! accepts arbitrary prior running totals.  From zero running totals —
+//! every balance operation — the rule needs no sort, which is what
+//! [`Snake`] exploits.  The sort order has two levels: the members at
+//! `v` in slot order, then the members at `v+1` in slot order.  By the
+//! same induction the members at `v+1` always form a slot *prefix*
+//! `[0, h)`: the leftovers go to slots `h, h+1, …` and, once every member
+//! has reached `v+1`, wrap round to slot 0 at the next level.  The rule
+//! is a rotation, dealt in O(1) per class — the deterministic "hand the
+//! leftovers out in a fixed cyclic order" rule of quasirandom balancing.
+//! The engines' reference oracles ([`crate::reference`],
+//! [`crate::dense`]) keep the sorting form, so the two stay independent
+//! checks of each other.
+
+/// Largest balancing group (`δ + 1` processors) the full-model engines
+/// support: [`Snake`] keeps one bit per member in a `u64`, and the
+/// engines size their per-member stack scratch by it.
+pub const MAX_GROUP: usize = 64;
+
+/// The snake distribution of a group of `m ≤` [`MAX_GROUP`] members from
+/// zero running totals, one class at a time in O(1) — the same shares
+/// and running totals as [`distribute_classes_flat`] on the same class
+/// sequence (see the module docs for the argument).
+#[derive(Debug, Clone, Copy)]
+pub struct Snake {
+    /// Group size.
+    m: u32,
+    /// Members `[0, high)` run one above the others.
+    high: u32,
+    /// Running total `v` of the members at the lower level.
+    low: u64,
+}
+
+/// The slot mask `[0, k)`, for `k ≤ 64`.
+#[inline]
+fn prefix(k: u32) -> u64 {
+    ((1u128 << k) - 1) as u64
+}
+
+impl Snake {
+    /// A dealer for `m` members, every running total zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ m ≤` [`MAX_GROUP`].
+    pub fn new(m: usize) -> Self {
+        assert!(
+            (1..=MAX_GROUP).contains(&m),
+            "group of {m} outside 1..={MAX_GROUP}"
+        );
+        Snake {
+            m: m as u32,
+            high: 0,
+            low: 0,
+        }
+    }
+
+    /// Deals one class of `total` packets: every member receives `base`,
+    /// and the members in `extra` (a slot mask of `total mod m` bits)
+    /// one more.
+    #[inline]
+    pub fn deal(&mut self, total: u64) -> (u64, u64) {
+        let m = u64::from(self.m);
+        let base = total / m;
+        let end = self.high + (total % m) as u32;
+        self.low += base;
+        let extra = if end < self.m {
+            let extra = prefix(end) & !prefix(self.high);
+            self.high = end;
+            extra
+        } else {
+            // Every member reached the upper level: it becomes the lower
+            // one, and the wrapped leftovers start the next prefix.
+            let wrapped = end - self.m;
+            let extra = (prefix(self.m) & !prefix(self.high)) | prefix(wrapped);
+            self.high = wrapped;
+            self.low += 1;
+            extra
+        };
+        (base, extra)
+    }
+
+    /// Member `s`'s running total: the sum of everything dealt to it.
+    #[inline]
+    pub fn running(&self, s: usize) -> u64 {
+        self.low + u64::from((s as u32) < self.high)
+    }
+}
 
 /// Evenly splits `total` into `m` shares differing by at most one,
 /// listing the `total mod m` larger shares first.

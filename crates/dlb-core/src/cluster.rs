@@ -49,24 +49,28 @@
 //!
 //! The cached sums are maintained by the row helpers on every insert and
 //! remove, which also report each load change to the load-summary
-//! tracker.  All balancing paths write into scratch buffers owned by the
-//! cluster — steady-state operation performs no heap allocation beyond
-//! amortised row growth.  The behaviour is *bit identical* to both the
-//! dense engine and the naive reference implementation retained in
-//! [`crate::reference`]: same RNG consumption, same loads, metrics and
-//! trace events (enforced by the `sparse_equivalence` and
-//! `opt_equivalence` proptests and the benchmark checksums).  The RNG
-//! contract is the subtle part: every random class choice must scan
-//! candidates in ascending class order exactly like the reference's
-//! dense `0..n` filter-then-nth sweep — the sorted key lists make that
-//! order intrinsic.
+//! tracker.  A balance operation rebuilds its members' rows in place, one
+//! matrix at a time: it copies the rows into one flat scratch buffer,
+//! clears them (spilled storage stays with its processor), k-way merges
+//! the copies in ascending class order and pushes each class's
+//! [`Snake`] deal straight back — one pass, no class union, no share
+//! matrix; the cached sums, `l_old` and the moved-packet counts fall out
+//! of the same walk.  All balancing paths write into scratch buffers
+//! owned by the cluster — steady-state operation performs no heap
+//! allocation beyond amortised row growth.  The behaviour is *bit
+//! identical* to both the dense engine and the naive reference
+//! implementation retained in [`crate::reference`]: same RNG
+//! consumption, same loads, metrics and trace events (enforced by the
+//! `sparse_equivalence` and `opt_equivalence` proptests and the
+//! benchmark checksums).  The RNG contract is the subtle part: every
+//! random class choice must scan candidates in ascending class order
+//! exactly like the reference's dense `0..n` filter-then-nth sweep — the
+//! sorted key lists make that order intrinsic.
 
-use crate::balance::{
-    distribute_capped_into, distribute_classes_flat_with, even_shares_into, moved,
-};
+use crate::balance::{distribute_capped_into, even_shares_into, moved, Snake, MAX_GROUP};
 use crate::metrics::Metrics;
-use crate::params::{ExchangePolicy, Params};
-use crate::sparse::{count_diff, merge_sorted_into, nth_diff, SparseRow};
+use crate::params::{check_full_group, ExchangePolicy, Params};
+use crate::sparse::{count_diff, nth_diff, SparseRow};
 use crate::strategy::{check_sparse_events, LoadBalancer, LoadEvent, LoadSummary};
 use crate::summary::SummaryTracker;
 use dlb_pool::par_map;
@@ -74,24 +78,24 @@ use dlb_trace::{SharedSink, TraceEvent};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-/// Scratch buffers for executing one full balance operation.  Each
+/// Scratch buffers for executing one full balance operation: one
+/// matrix's rows of every member, copied back to back.  Each
 /// executing thread owns a set (thread-local on pool workers), so the
 /// parallel wave path stays as allocation-free as the sequential one in
 /// steady state.
 #[derive(Default)]
 struct BalanceScratch {
-    totals_d: Vec<u64>,
-    totals_b: Vec<u64>,
-    /// Member-major marker values aligned to the class union
-    /// (`vals_b[si * union.len() + ci]`), filled during the totals walk
-    /// so the post-distribution marker-movement count needs no row
-    /// lookups.
-    vals_b: Vec<u64>,
-    shares_d: Vec<u64>,
-    shares_b: Vec<u64>,
-    union: Vec<u32>,
-    merge: Vec<u32>,
-    order: Vec<usize>,
+    keys: Vec<u32>,
+    vals: Vec<u64>,
+}
+
+/// Which of a processor's two class rows a balance pass rebuilds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Matrix {
+    /// The virtual-class packets `d_{i,·}`.
+    D,
+    /// The borrowed-packet markers `b_{i,·}`.
+    B,
 }
 
 thread_local! {
@@ -169,6 +173,16 @@ unsafe impl Sync for ArenaView {}
 /// Consumes no RNG and emits nothing — it returns an [`OpOutcome`] the
 /// caller folds in trigger order.
 ///
+/// Each matrix, `d` then `b`, is rebuilt in one pass over the members'
+/// own rows: snapshot them into the scratch, clear them in place (a
+/// spilled row keeps its storage, so no capacity moves between
+/// processors), then k-way merge the snapshots in ascending class order,
+/// dealing each class's total with a [`Snake`] and pushing the shares
+/// straight back.  The rows come out sorted and equal to the snake
+/// distribution over the union of the members' classes: a class no
+/// member holds has total zero and moves no dealer.  The two passes are
+/// independent — `d` and `b` keep separate running totals.
+///
 /// # Safety
 ///
 /// No other thread may concurrently touch any state of the processors
@@ -181,6 +195,7 @@ unsafe fn execute_full_balance(
     s: &mut BalanceScratch,
 ) -> OpOutcome {
     let m = members.len();
+    assert!(m <= MAX_GROUP, "group size bounded by the stack scratch");
     let initiator = members[0];
     // The f-factor ratio that fired the trigger.  The initiator's row is
     // untouched between draw and execution (a queued operation involving
@@ -192,114 +207,116 @@ unsafe fn execute_full_balance(
     } else {
         0.0
     };
-    // Only the union of the members' active classes is balanced: for
-    // every other class all members hold zero, which the snake
-    // distribution maps to zero shares without touching the running
-    // totals — bit-identical to the reference's dense 0..n sweep.
-    s.union.clear();
-    for &mm in members {
-        let p = &*view.procs.add(mm);
-        merge_sorted_into(&mut s.union, p.d.keys(), &mut s.merge);
-        merge_sorted_into(&mut s.union, p.b.keys(), &mut s.merge);
-    }
-    let ulen = s.union.len();
-    s.totals_d.clear();
-    s.totals_d.resize(ulen, 0);
-    s.totals_b.clear();
-    s.totals_b.resize(ulen, 0);
-    s.vals_b.clear();
-    s.vals_b.resize(m * ulen, 0);
-    // Packets are fungible (§2: any packet can be consumed by any
-    // processor), so only the *net* load difference moves physically;
-    // the per-class matrices are bookkeeping carried by the control
-    // messages.  Markers are bookkeeping only.  `old_load` keeps each
-    // member's load for the packet count below.
-    let mut old_load = [0u64; 64];
-    assert!(m <= 64, "group size bounded by the stack scratch");
-    for (si, &mm) in members.iter().enumerate() {
-        let p = &*view.procs.add(mm);
-        old_load[si] = p.load;
-        // Each member row's keys are a subset of the union, so a
-        // two-pointer walk accumulates the per-class totals in
-        // O(active) without any binary searches.
-        let mut ui = 0;
-        for (c, v) in p.d.iter() {
-            while s.union[ui] != c {
-                ui += 1;
-            }
-            s.totals_d[ui] += v;
-        }
-        let mut ui = 0;
-        for (c, v) in p.b.iter() {
-            while s.union[ui] != c {
-                ui += 1;
-            }
-            s.totals_b[ui] += v;
-            s.vals_b[si * ulen + ui] = v;
-        }
-    }
-    let mut run_d = [0u64; 64];
-    let mut run_b = [0u64; 64];
-    let (run_d, run_b) = (&mut run_d[..m], &mut run_b[..m]);
-    distribute_classes_flat_with(&s.totals_d, m, run_d, &mut s.shares_d, &mut s.order);
-    distribute_classes_flat_with(&s.totals_b, m, run_b, &mut s.shares_b, &mut s.order);
-
-    let mut op_packets = 0u64;
-    for si in 0..m {
-        op_packets += old_load[si].saturating_sub(run_d[si]);
-    }
-    let mut op_markers = 0u64;
-    for ci in 0..ulen {
-        let row = &s.shares_b[ci * m..(ci + 1) * m];
-        for (si, &share) in row.iter().enumerate() {
-            op_markers += s.vals_b[si * ulen + ci].saturating_sub(share);
-        }
-    }
-    // Every member's previously-active classes are in the union, so
-    // rebuilding the rows from the union's nonzero shares (pushed in
-    // ascending class order) covers the full row.  Every participant
-    // also counts this as a balancing of its own class (§4: a group
-    // balance acts like δ + 1 self-initiated balances): its home markers
-    // annihilate instead of being pushed, and l_old resets to its new
-    // own-class load.
-    let mut home_settled = 0u64;
-    for (si, &mm) in members.iter().enumerate() {
-        let p = &mut *view.procs.add(mm);
-        let own = mm as u32;
-        p.d.clear();
-        p.b.clear();
-        let (mut own_d, mut home) = (0, 0);
-        for (ci, &c) in s.union.iter().enumerate() {
-            let vd = s.shares_d[ci * m + si];
-            if vd > 0 {
-                p.d.push(c, vd);
-                if c == own {
-                    own_d = vd;
-                }
-            }
-            let vb = s.shares_b[ci * m + si];
-            if vb > 0 {
-                if c == own {
-                    home = vb;
-                } else {
-                    p.b.push(c, vb);
-                }
-            }
-        }
-        p.load = run_d[si];
-        p.sum_b = run_b[si] - home;
-        p.l_old = own_d;
-        if home > 0 {
-            *view.settled.add(mm) += home;
-            home_settled += home;
-        }
-    }
-    OpOutcome {
+    let mut out = OpOutcome {
         trigger,
-        op_packets,
-        op_markers,
-        home_settled,
+        ..OpOutcome::default()
+    };
+    let everyone = u64::MAX >> (MAX_GROUP - m);
+    for matrix in [Matrix::D, Matrix::B] {
+        s.keys.clear();
+        s.vals.clear();
+        // Per member: the merge cursor into the snapshot and its end.
+        let mut pos = [0usize; MAX_GROUP];
+        let mut ends = [0usize; MAX_GROUP];
+        // Members whose snapshot still has entries ahead of the cursor.
+        let mut live = 0u64;
+        for (si, &mm) in members.iter().enumerate() {
+            let p = &mut *view.procs.add(mm);
+            // Every participant counts this as a balancing of its own
+            // class (§4: a group balance acts like δ + 1 self-initiated
+            // balances): `l_old` becomes the new own-class share, and
+            // home markers annihilate instead of being pushed, so
+            // `sum_b` is rebuilt from the pushes.
+            let row = match matrix {
+                Matrix::D => {
+                    p.l_old = 0;
+                    &mut p.d
+                }
+                Matrix::B => {
+                    p.sum_b = 0;
+                    &mut p.b
+                }
+            };
+            pos[si] = s.keys.len();
+            s.keys.extend_from_slice(row.keys());
+            s.vals.extend_from_slice(row.vals());
+            ends[si] = s.keys.len();
+            if !row.is_empty() {
+                live |= 1 << si;
+            }
+            row.clear();
+        }
+        let mut snake = Snake::new(m);
+        while live != 0 {
+            // The smallest class under any cursor, its group total and
+            // the members holding it.
+            let (mut class, mut total, mut holders) = (u32::MAX, 0u64, 0u64);
+            let mut bits = live;
+            while bits != 0 {
+                let si = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let c = s.keys[pos[si]];
+                if c < class {
+                    (class, total, holders) = (c, 0, 0);
+                }
+                if c == class {
+                    total += s.vals[pos[si]];
+                    holders |= 1 << si;
+                }
+            }
+            let (base, extra) = snake.deal(total);
+            let share = |si: usize| base + (extra >> si & 1);
+            let mut bits = holders;
+            while bits != 0 {
+                let si = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if matrix == Matrix::B {
+                    out.op_markers += s.vals[pos[si]].saturating_sub(share(si));
+                }
+                pos[si] += 1;
+                if pos[si] == ends[si] {
+                    live &= !(1 << si);
+                }
+            }
+            let mut bits = if base > 0 { everyone } else { extra };
+            while bits != 0 {
+                let si = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (mm, v) = (members[si], share(si));
+                let p = &mut *view.procs.add(mm);
+                let own = class as usize == mm;
+                match matrix {
+                    Matrix::D => {
+                        if own {
+                            p.l_old = v;
+                        }
+                        p.d.push(class, v);
+                    }
+                    Matrix::B if own => {
+                        *view.settled.add(mm) += v;
+                        out.home_settled += v;
+                    }
+                    Matrix::B => {
+                        p.sum_b += v;
+                        p.b.push(class, v);
+                    }
+                }
+            }
+        }
+        if matrix == Matrix::D {
+            // Packets are fungible (§2: any packet can be consumed by
+            // any processor), so only the *net* load difference moves
+            // physically; the per-class matrices are bookkeeping carried
+            // by the control messages.  Markers are bookkeeping only.
+            for (si, &mm) in members.iter().enumerate() {
+                let p = &mut *view.procs.add(mm);
+                let load = snake.running(si);
+                out.op_packets += p.load.saturating_sub(load);
+                p.load = load;
+            }
+        }
     }
+    out
 }
 
 /// The full virtual-load-class algorithm on `n` processors.
@@ -952,6 +969,7 @@ impl Cluster {
         let params = Params::new(snap.n, snap.delta, snap.f, snap.c_borrow)
             .map_err(|e| e.to_string())?
             .with_exchange(snap.exchange);
+        check_full_group(snap.delta).map_err(|e| e.to_string())?;
         let n = snap.n;
         let rows_ok = |m: &Vec<Vec<u64>>| m.len() == n && m.iter().all(|r| r.len() == n);
         if !rows_ok(&snap.d) || !rows_ok(&snap.b) {

@@ -19,7 +19,7 @@
 //! the two engines stay reviewable.
 
 use crate::balance::{
-    distribute_capped_into, distribute_classes_flat_with, even_shares_into, moved,
+    distribute_capped_into, distribute_classes_flat_with, even_shares_into, moved, MAX_GROUP,
 };
 use crate::metrics::Metrics;
 use crate::params::{ExchangePolicy, Params};
@@ -184,9 +184,9 @@ unsafe fn execute_full_balance(
         s.totals_b
             .push(members.iter().map(|&mm| *view.b.add(mm * n + c)).sum());
     }
-    let mut run_d = [0u64; 64];
-    let mut run_b = [0u64; 64];
-    assert!(m <= 64, "group size bounded by the stack scratch");
+    let mut run_d = [0u64; MAX_GROUP];
+    let mut run_b = [0u64; MAX_GROUP];
+    assert!(m <= MAX_GROUP, "group size bounded by the stack scratch");
     let (run_d, run_b) = (&mut run_d[..m], &mut run_b[..m]);
     distribute_classes_flat_with(&s.totals_d, m, run_d, &mut s.shares_d, &mut s.order);
     distribute_classes_flat_with(&s.totals_b, m, run_b, &mut s.shares_b, &mut s.order);

@@ -67,11 +67,12 @@ pub mod strategy;
 mod summary;
 pub mod weighted;
 
+pub use balance::MAX_GROUP;
 pub use batch::{step_batch, BatchEvent};
 pub use cluster::Cluster;
 pub use dense::DenseCluster;
 pub use metrics::Metrics;
-pub use params::{ExchangePolicy, Params};
+pub use params::{check_full_group, ExchangePolicy, GroupTooLarge, Params};
 pub use recorder::LoadRecorder;
 pub use simple::{SimpleCluster, SIMPLE_WAVE_THRESHOLD};
 pub use snapshot::ClusterSnapshot;

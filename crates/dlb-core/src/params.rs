@@ -1,7 +1,9 @@
 //! Parameters of the full load balancing algorithm.
 
+use crate::balance::MAX_GROUP;
 use dlb_json::{FromJson, Json, ToJson};
 use dlb_theory::{AlgoParams, ParamError};
+use std::fmt;
 
 /// How borrowed-packet markers are repaid when the remote generator still
 /// holds self-generated packets (`d_{j,j} > 0`; §4 / appendix).
@@ -124,6 +126,40 @@ impl Params {
     pub fn shrink_triggered(&self, current: u64, last: u64) -> bool {
         let threshold = last as f64 / self.f();
         current < last && current as f64 <= threshold + 1e-9 * threshold
+    }
+}
+
+/// A full-model neighbourhood too large to balance: `δ` partners plus
+/// the initiator exceed [`MAX_GROUP`] processors.  The practical
+/// variants balance raw counts and have no such limit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupTooLarge {
+    /// The rejected neighbourhood size.
+    pub delta: usize,
+}
+
+impl fmt::Display for GroupTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "delta = {} makes balancing groups of {} processors; the full model \
+             balances at most {MAX_GROUP} (delta <= {})",
+            self.delta,
+            self.delta + 1,
+            MAX_GROUP - 1
+        )
+    }
+}
+
+impl std::error::Error for GroupTooLarge {}
+
+/// Checks that a full-model balancing group — `delta` partners plus the
+/// initiator — fits [`MAX_GROUP`].
+pub fn check_full_group(delta: usize) -> Result<(), GroupTooLarge> {
+    if delta < MAX_GROUP {
+        Ok(())
+    } else {
+        Err(GroupTooLarge { delta })
     }
 }
 

@@ -15,7 +15,9 @@
 //! to the paper's appendix pseudocode.  It is `doc(hidden)` because it
 //! is test infrastructure, not API.
 
-use crate::balance::{distribute_capped, distribute_classes, distribute_classes_flat, moved};
+use crate::balance::{
+    distribute_capped, distribute_classes, distribute_classes_flat, moved, MAX_GROUP,
+};
 use crate::metrics::Metrics;
 use crate::params::{ExchangePolicy, Params};
 use crate::strategy::LoadEvent;
@@ -413,9 +415,9 @@ impl RefCluster {
             self.scratch_totals_d[c] = members.iter().map(|&mm| self.procs[mm].d[c]).sum();
             self.scratch_totals_b[c] = members.iter().map(|&mm| self.procs[mm].b[c]).sum();
         }
-        let mut run_d = [0u64; 64];
-        let mut run_b = [0u64; 64];
-        assert!(m <= 64, "group size bounded by the stack scratch");
+        let mut run_d = [0u64; MAX_GROUP];
+        let mut run_b = [0u64; MAX_GROUP];
+        assert!(m <= MAX_GROUP, "group size bounded by the stack scratch");
         let (run_d, run_b) = (&mut run_d[..m], &mut run_b[..m]);
         let mut shares_d = std::mem::take(&mut self.scratch_shares_d);
         let mut shares_b = std::mem::take(&mut self.scratch_shares_b);

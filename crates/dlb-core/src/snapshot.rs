@@ -164,6 +164,18 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_an_oversized_group() {
+        let params = Params::new(70, 63, 1.1, 4).unwrap();
+        let mut snap = Cluster::new(params, 1).snapshot();
+        assert!(Cluster::restore(&snap).is_ok());
+        snap.delta = crate::MAX_GROUP;
+        let err = Cluster::restore(&snap)
+            .err()
+            .expect("delta = 64 must not restore");
+        assert!(err.contains("at most 64"), "{err}");
+    }
+
+    #[test]
     fn snapshot_json_roundtrip() {
         let params = Params::paper_section7(4).with_exchange(ExchangePolicy::Aggressive);
         let mut cluster = Cluster::new(params, 3);

@@ -317,8 +317,8 @@ impl SparseRow {
     }
 
     /// Appends an entry with `v > 0`; `c` must exceed every present key.
-    /// The O(1) rebuild primitive for balance write-backs that walk a
-    /// sorted class union.
+    /// The O(1) rebuild primitive for balance write-backs that walk the
+    /// classes in ascending order.
     #[inline]
     pub fn push(&mut self, c: u32, v: u64) {
         debug_assert!(v > 0);
@@ -384,40 +384,6 @@ impl SparseRow {
         }
         row
     }
-}
-
-/// Merges sorted `src` into sorted `dst` (set union) using `buf` as
-/// scratch.  Linear in `dst.len() + src.len()`.
-pub fn merge_sorted_into(dst: &mut Vec<u32>, src: &[u32], buf: &mut Vec<u32>) {
-    if src.is_empty() {
-        return;
-    }
-    if dst.is_empty() {
-        dst.extend_from_slice(src);
-        return;
-    }
-    buf.clear();
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < dst.len() && b < src.len() {
-        match dst[a].cmp(&src[b]) {
-            std::cmp::Ordering::Less => {
-                buf.push(dst[a]);
-                a += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                buf.push(src[b]);
-                b += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                buf.push(dst[a]);
-                a += 1;
-                b += 1;
-            }
-        }
-    }
-    buf.extend_from_slice(&dst[a..]);
-    buf.extend_from_slice(&src[b..]);
-    std::mem::swap(dst, buf);
 }
 
 /// Number of keys present in `a` but absent from `b` (both sorted) — the
@@ -503,19 +469,6 @@ mod tests {
         assert_eq!(nth_diff(&a, &b, naive.len()), None);
         assert_eq!(count_diff(&[], &b), 0);
         assert_eq!(count_diff(&a, &[]), a.len());
-    }
-
-    #[test]
-    fn merge_union_matches_naive() {
-        let mut dst = vec![1u32, 4, 7];
-        let mut buf = Vec::new();
-        merge_sorted_into(&mut dst, &[2, 4, 9], &mut buf);
-        assert_eq!(dst, vec![1, 2, 4, 7, 9]);
-        merge_sorted_into(&mut dst, &[], &mut buf);
-        assert_eq!(dst, vec![1, 2, 4, 7, 9]);
-        let mut empty = Vec::new();
-        merge_sorted_into(&mut empty, &[3, 5], &mut buf);
-        assert_eq!(empty, vec![3, 5]);
     }
 
     #[test]

@@ -108,6 +108,56 @@ proptest! {
     }
 
     #[test]
+    fn paper_scale_groups_match_dense_and_reference(
+        n_idx in 0usize..2,
+        delta_idx in 0usize..2,
+        jobs_idx in 0usize..2,
+        initial in 1u64..3,
+        seed in 0u64..1_000_000,
+    ) {
+        // Groups of 8 and 64 members: rows holding dozens of classes
+        // and, at δ = 63, a dealer mask with every bit set.  Fewer steps
+        // than the small-n family keep the O(n²) comparisons cheap.
+        let n = [64usize, 65][n_idx];
+        let delta = [7usize, 63][delta_idx];
+        let jobs = [1usize, 4][jobs_idx];
+        let params = Params::new(n, delta, 1.2, 4).unwrap();
+        let initial = initial * 10;
+        let mut sparse = Cluster::with_initial_load(params, seed, initial);
+        let mut dense = DenseCluster::with_initial_load(params, seed, initial);
+        let mut oracle = RefCluster::with_initial_load(params, seed, initial);
+        sparse.set_step_jobs(jobs);
+        dense.set_step_jobs(jobs);
+        sparse.set_wave_threshold(0);
+        dense.set_wave_threshold(0);
+        let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        let steps = 6;
+        let mut widest = 0;
+        for t in 0..steps {
+            let events = events_at(&mut ev_rng, n, t, steps);
+            sparse.step(&events);
+            dense.step(&events);
+            oracle.step(&events);
+            prop_assert_eq!(sparse.loads(), oracle.loads(), "loads diverged at step {}", t);
+            prop_assert_eq!(sparse.loads(), dense.loads(), "dense loads diverged at step {}", t);
+            prop_assert_eq!(sparse.metrics(), oracle.metrics(), "metrics diverged at step {}", t);
+            prop_assert_eq!(sparse.metrics(), dense.metrics(), "dense metrics diverged at step {}", t);
+            for i in 0..n {
+                widest = widest.max(sparse.active_classes(i).0);
+                for c in 0..n {
+                    prop_assert_eq!(sparse.d(i, c), oracle.d(i, c), "d[{}][{}] at step {}", i, c, t);
+                    prop_assert_eq!(sparse.b(i, c), oracle.b(i, c), "b[{}][{}] at step {}", i, c, t);
+                    prop_assert_eq!(sparse.d(i, c), dense.d(i, c), "dense d[{}][{}] at step {}", i, c, t);
+                    prop_assert_eq!(sparse.b(i, c), dense.b(i, c), "dense b[{}][{}] at step {}", i, c, t);
+                }
+            }
+        }
+        prop_assert!(widest >= 10, "rows stayed narrow: at most {} classes", widest);
+        prop_assert!(sparse.check_invariants().is_ok());
+        prop_assert!(dense.check_invariants().is_ok());
+    }
+
+    #[test]
     fn sparse_matches_dense_under_crash_masks(
         n_idx in 0usize..3,
         delta_idx in 0usize..2,
