@@ -26,6 +26,8 @@
 //! ```
 
 mod config;
+#[cfg(test)]
+mod fuzz;
 mod run;
 mod serve;
 

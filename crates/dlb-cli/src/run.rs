@@ -22,7 +22,7 @@ use dlb_experiments::arena::{
 use dlb_experiments::{par_map, render_table, stream_seed, StreamId};
 use dlb_faults::FaultInjector;
 use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats, PartnerMode, TopoCluster, Topology};
-use dlb_trace::{BufferSink, FileSink, TraceEvent, TraceSink};
+use dlb_trace::{FileSink, JsonlBuffer, TraceEvent, TraceSink};
 use dlb_workload::patterns::{MovingHotspot, OneProducer, ProducerConsumerSplit, UniformRandom};
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 use dlb_workload::sparse::{SparseActivity, SparseWorkload};
@@ -381,7 +381,8 @@ struct RunOutcome {
     final_total: u64,
     stats: Option<AsyncStats>,
     lost: u64,
-    events: Vec<TraceEvent>,
+    /// The run's trace as JSONL, encoded as the events were recorded.
+    trace: Vec<u8>,
 }
 
 fn emit_load_sample(driver: &dlb_trace::SharedSink, step: u64, loads: &[u64]) {
@@ -439,7 +440,7 @@ fn run_one_sync(
     };
     let warmup = (scenario.steps as f64 * scenario.warmup_fraction) as usize;
     let mut recorder = LoadRecorder::new(warmup, 3.0);
-    let buf = BufferSink::new();
+    let buf = JsonlBuffer::new();
     let driver = buf.handle();
     if tracing {
         let (delta, f, c) = strategy_triple(&scenario.strategy);
@@ -519,7 +520,7 @@ fn run_one_sync(
         final_total: balancer.loads().iter().sum(),
         stats: None,
         lost: 0,
-        events: buf.take(),
+        trace: buf.take(),
     })
 }
 
@@ -546,7 +547,7 @@ fn run_one_async(
     )?;
     let warmup = (scenario.steps as f64 * scenario.warmup_fraction) as usize;
     let mut recorder = LoadRecorder::new(warmup, 3.0);
-    let buf = BufferSink::new();
+    let buf = JsonlBuffer::new();
     let driver = buf.handle();
     if tracing {
         driver.record(&TraceEvent::RunStarted {
@@ -601,7 +602,7 @@ fn run_one_async(
         final_total: net.loads().iter().sum(),
         stats: Some(*net.stats()),
         lost: net.lost(),
-        events: buf.take(),
+        trace: buf.take(),
     })
 }
 
@@ -659,13 +660,12 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
         }
         lost_load += o.lost;
         if let Some(sink) = &mut sink {
-            for ev in &o.events {
-                sink.record(ev);
-            }
+            sink.write_jsonl(&o.trace);
         }
     }
-    if let Some(sink) = &mut sink {
-        sink.flush();
+    if let (Some(sink), Some(path)) = (&mut sink, &trace_path) {
+        sink.finish()
+            .map_err(|e| format!("cannot write trace {path}: {e}"))?;
     }
     Ok(Report {
         strategy: strategy_name,
@@ -742,7 +742,8 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
         for ev in &result.events {
             sink.record(ev);
         }
-        sink.flush();
+        sink.finish()
+            .map_err(|e| format!("cannot write trace {path}: {e}"))?;
     }
 
     // The Lemma 6 cost yardstick applies only when the primary strategy

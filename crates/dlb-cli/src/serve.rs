@@ -107,12 +107,16 @@ pub fn serve_main(rest: &[String]) -> Result<(), String> {
         None => None,
     };
     let stats = match opts.mode {
-        Mode::Sim => dlb_serve::run_sim(&scenario, sink)?,
+        Mode::Sim => dlb_serve::run_sim(&scenario, sink.clone())?,
         Mode::Wall => {
             let acceptors = opts.acceptors.unwrap_or(scenario.acceptors);
-            dlb_serve::run_wall(&scenario, opts.workers, acceptors, sink)?
+            dlb_serve::run_wall(&scenario, opts.workers, acceptors, sink.clone())?
         }
     };
+    if let (Some(sink), Some(trace_path)) = (&sink, &opts.trace) {
+        sink.finish()
+            .map_err(|e| format!("cannot write trace {trace_path}: {e}"))?;
+    }
     // Both engines verify the ledger internally (and error out on a
     // violation), so reaching this point means conservation held.
     assert!(stats.conservation_holds(), "engines enforce the ledger");

@@ -177,7 +177,8 @@ fn main() {
         for ev in &result.events {
             sink.record(ev);
         }
-        sink.flush();
+        sink.finish()
+            .unwrap_or_else(|e| panic!("cannot write trace {path}: {e}"));
         println!("wrote {path} ({} events)", result.events.len());
     }
 }

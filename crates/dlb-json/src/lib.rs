@@ -14,7 +14,7 @@
 //! - Nesting is capped at [`MAX_DEPTH`] arrays/objects, so hostile input
 //!   (say 50,000 `[`) is a parse error rather than a stack overflow.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Deepest array/object nesting [`Json::parse`] accepts.  Scenarios,
 /// trace lines and benchmark baselines nest fewer than ten levels; the
@@ -118,118 +118,134 @@ impl Json {
 
     /// Renders compact JSON (no whitespace).
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write_compact(&mut out);
-        out
+        String::from_utf8(out).expect("rendered JSON is UTF-8")
     }
 
     /// Renders pretty JSON (two-space indent).
     pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write_pretty(&mut out, 0);
-        out
+        String::from_utf8(out).expect("rendered JSON is UTF-8")
     }
 
-    fn write_compact(&self, out: &mut String) {
+    fn write_compact(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            Json::Float(f) => write_float(out, *f),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Float(f) => write_f64(out, *f),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write_compact(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    write_escaped(out, k);
-                    out.push(':');
+                    write_str(out, k);
+                    out.push(b':');
                     v.write_compact(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
+    fn write_pretty(&self, out: &mut Vec<u8>, depth: usize) {
         match self {
             Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
+                out.extend_from_slice(b"[\n");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(",\n");
+                        out.extend_from_slice(b",\n");
                     }
                     indent(out, depth + 1);
                     item.write_pretty(out, depth + 1);
                 }
-                out.push('\n');
+                out.push(b'\n');
                 indent(out, depth);
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(fields) if !fields.is_empty() => {
-                out.push_str("{\n");
+                out.extend_from_slice(b"{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(",\n");
+                        out.extend_from_slice(b",\n");
                     }
                     indent(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
+                    write_str(out, k);
+                    out.extend_from_slice(b": ");
                     v.write_pretty(out, depth + 1);
                 }
-                out.push('\n');
+                out.push(b'\n');
                 indent(out, depth);
-                out.push('}');
+                out.push(b'}');
             }
             other => other.write_compact(out),
         }
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
+fn indent(out: &mut Vec<u8>, depth: usize) {
     for _ in 0..depth {
-        out.push_str("  ");
+        out.extend_from_slice(b"  ");
     }
 }
 
-fn write_float(out: &mut String, f: f64) {
+/// Appends `f` as a JSON number: Rust's `{}` form (the shortest decimal
+/// that parses back to the same `f64`, never in exponent notation), or
+/// `null` for NaN and the infinities, which JSON cannot express.
+pub fn write_f64(out: &mut Vec<u8>, f: f64) {
     if f.is_finite() {
-        // `{}` on f64 is the shortest round-trippable decimal form.
         let _ = write!(out, "{f}");
     } else {
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends `s` as a quoted JSON string.  Quotes, backslashes and
+/// control characters are escaped (`\n`, `\r`, `\t`, else `\u00xx`);
+/// everything else, non-ASCII included, is copied through as UTF-8.
+/// Every byte of a multi-byte UTF-8 sequence is >= 0x80, so a byte scan
+/// escapes exactly the characters a `char` scan would.
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    let mut clean = 0; // start of the run not yet copied
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0x00..=0x1f => b"\\u00",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[clean..i]);
+        out.extend_from_slice(escape);
+        if escape.len() > 2 {
+            out.push(HEX[usize::from(b >> 4)]);
+            out.push(HEX[usize::from(b & 0xf)]);
         }
+        clean = i + 1;
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[clean..]);
+    out.push(b'"');
 }
 
 struct Parser<'a> {
@@ -385,9 +401,10 @@ impl Parser<'_> {
                                 }
                                 self.pos += 2;
                                 let lo = self.hex4()?;
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(code)
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(format!("lone surrogate at byte {}", self.pos));
+                                }
+                                char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
                             } else {
                                 char::from_u32(hi)
                             };
@@ -459,8 +476,11 @@ impl Parser<'_> {
                 .map(Json::Float)
                 .map_err(|e| format!("bad number '{text}': {e}"))
         } else {
+            // Past i128 an integer literal is read as a float: `{}`
+            // writes a whole f64 such as 1e300 as its full digit string.
             text.parse::<i128>()
                 .map(Json::Int)
+                .or_else(|_| text.parse::<f64>().map(Json::Float))
                 .map_err(|e| format!("bad number '{text}': {e}"))
         }
     }
@@ -711,6 +731,63 @@ mod tests {
     fn surrogate_pair() {
         let v = Json::parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "😀");
+        let v = Json::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "😀");
+        // A high surrogate must be followed by a low one; any other
+        // escape is an error, not an out-of-range code point.
+        for bad in [r#""\udbff\u0000""#, r#""\ud800\ud800""#, r#""\ud800x""#] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.contains("lone surrogate"), "{bad}: {err}");
+        }
+    }
+
+    /// The byte-level escaper against a per-`char` statement of the rule.
+    #[test]
+    fn write_str_escapes_like_the_char_rule() {
+        fn by_char(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let mut every_ascii: String = (0u8..0x80).map(char::from).collect();
+        every_ascii.push_str("é€\u{2028}😀\u{7f}\u{80}\u{10ffff}");
+        for s in ["", "plain", "a\"b\\c", every_ascii.as_str()] {
+            let mut out = b"x".to_vec();
+            write_str(&mut out, s);
+            assert_eq!(&out[..1], b"x", "appends");
+            assert_eq!(std::str::from_utf8(&out[1..]).unwrap(), by_char(s));
+        }
+        assert_eq!(
+            Json::Str("\u{1}\u{1f}".into()).render(),
+            r#""\u0001\u001f""#
+        );
+    }
+
+    #[test]
+    fn integers_past_i128_read_as_floats() {
+        // `{}` writes a whole f64 as its full digit string.
+        for f in [1e300, -1e300, f64::MAX, 1e39] {
+            let text = Json::Float(f).render();
+            assert!(!text.contains(['.', 'e']), "{text}");
+            assert_eq!(Json::parse(&text).unwrap(), Json::Float(f));
+        }
+        assert_eq!(
+            Json::parse("170141183460469231731687303715884105727").unwrap(),
+            Json::Int(i128::MAX)
+        );
+        assert!(u64::from_json(&Json::parse(&"9".repeat(60)).unwrap()).is_err());
+        assert!(Json::parse("-").is_err());
     }
 
     #[test]

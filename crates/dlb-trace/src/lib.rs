@@ -4,14 +4,21 @@
 //! needed to track a workload change, and §7's claims are time-series
 //! claims — neither is observable from end-of-run aggregates alone.
 //! This crate defines a typed event vocabulary ([`TraceEvent`]), a
-//! pluggable consumer trait ([`TraceSink`]) and three stock sinks:
+//! pluggable consumer trait ([`TraceSink`]) and stock sinks:
 //!
 //! * [`NullSink`] — reports itself disabled so emitters skip event
 //!   construction entirely; attaching it costs one branch per site.
 //! * [`RingSink`] — keeps the last `cap` events in memory.
-//! * [`FileSink`] — byte-stable JSONL via `dlb-json`'s insertion-ordered
-//!   object rendering: the same run always produces the same bytes,
-//!   which is what lets CI diff traces across `--jobs` values.
+//! * [`FileSink`] — byte-stable JSONL: the same run always produces the
+//!   same bytes, which is what lets CI diff traces across `--jobs`
+//!   values.  A write error is kept and reported by
+//!   [`TraceSink::finish`], never a panic.
+//! * [`JsonlBuffer`] — the same JSONL bytes, collected in memory for a
+//!   later in-order write; [`BufferSink`] keeps the events themselves.
+//!
+//! Every sink that writes JSONL encodes through one function,
+//! [`TraceEvent::write_line`]: static tag and key bytes, no [`Json`]
+//! tree, no intermediate `String`.
 //!
 //! Events carry a logical step/time so multi-threaded producers can
 //! buffer locally and merge deterministically ([`merge_by_clock`]).
@@ -19,12 +26,12 @@
 //! The line format is versioned ([`SCHEMA_VERSION`]); parsers reject
 //! lines they cannot round-trip, so the schema cannot drift silently.
 
-use dlb_json::{req, FromJson, Json, ToJson};
+use dlb_json::{req, FromJson, Json};
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
-/// Version of the JSONL event schema emitted by [`TraceEvent::to_line`].
+/// Version of the JSONL event schema emitted by [`TraceEvent::write_line`].
 ///
 /// Bump on any change to tags, field names or field meaning, and record
 /// the change in DESIGN.md.
@@ -149,6 +156,20 @@ pub enum TraceEvent {
     RunFinished { run: u64 },
 }
 
+/// Writes `{"t":"<tag>","<key>":<value>,...}`: every tag and key is a
+/// compile-time byte string, each value goes through the named writer.
+macro_rules! jsonl {
+    ($out:expr, $tag:literal $(, $key:literal => $writer:ident($value:expr))* $(,)?) => {{
+        let out: &mut Vec<u8> = $out;
+        out.extend_from_slice(concat!("{\"t\":\"", $tag, "\"").as_bytes());
+        $(
+            out.extend_from_slice(concat!(",\"", $key, "\":").as_bytes());
+            $writer(out, $value);
+        )*
+        out.push(b'}');
+    }};
+}
+
 impl TraceEvent {
     /// The logical step/time the event is anchored to (`None` for the
     /// run delimiters, which order by position instead).
@@ -174,22 +195,20 @@ impl TraceEvent {
 
     /// Renders the event as one compact JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
-        self.to_json().render()
+        let mut out = Vec::new();
+        self.write_line(&mut out);
+        String::from_utf8(out).expect("trace lines are UTF-8")
     }
 
-    /// Parses one JSONL line back into an event.
-    pub fn from_line(line: &str) -> Result<TraceEvent, String> {
-        let v = Json::parse(line)?;
-        TraceEvent::from_json(&v)
-    }
-}
-
-fn u(v: u64) -> Json {
-    Json::Int(v as i128)
-}
-
-impl ToJson for TraceEvent {
-    fn to_json(&self) -> Json {
+    /// Appends the event's JSONL line (no trailing newline) to `out`.
+    ///
+    /// This is the only renderer of the schema: tags and keys are static
+    /// byte strings, integers are written from a stack buffer, and floats
+    /// and strings go through dlb-json's own [`dlb_json::write_f64`] and
+    /// [`dlb_json::write_str`], so a line is byte-identical to the
+    /// compact rendering of the equivalent insertion-ordered
+    /// [`Json`] object without building one.
+    pub fn write_line(&self, out: &mut Vec<u8>) {
         match self {
             TraceEvent::RunStarted {
                 run,
@@ -199,148 +218,136 @@ impl ToJson for TraceEvent {
                 delta,
                 f,
                 c,
-            } => Json::Obj(vec![
-                ("t".into(), "run_start".to_json()),
-                ("run".into(), u(*run)),
-                ("seed".into(), u(*seed)),
-                ("n".into(), u(*n)),
-                ("strategy".into(), strategy.to_json()),
-                ("delta".into(), u(*delta)),
-                ("f".into(), Json::Float(*f)),
-                ("c".into(), u(*c)),
-            ]),
+            } => jsonl!(out, "run_start",
+                "run" => num(*run), "seed" => num(*seed), "n" => num(*n),
+                "strategy" => text(strategy), "delta" => num(*delta),
+                "f" => float(*f), "c" => num(*c)),
             TraceEvent::BalanceInitiated {
                 step,
                 initiator,
                 partners,
                 trigger,
-            } => Json::Obj(vec![
-                ("t".into(), "balance".to_json()),
-                ("step".into(), u(*step)),
-                ("init".into(), u(*initiator)),
-                (
-                    "partners".into(),
-                    Json::Arr(partners.iter().map(|&p| u(p)).collect()),
-                ),
-                ("trigger".into(), Json::Float(*trigger)),
-            ]),
+            } => jsonl!(out, "balance",
+                "step" => num(*step), "init" => num(*initiator),
+                "partners" => nums(partners), "trigger" => float(*trigger)),
             TraceEvent::PacketsMigrated {
                 step,
                 initiator,
                 count,
-            } => Json::Obj(vec![
-                ("t".into(), "packets".to_json()),
-                ("step".into(), u(*step)),
-                ("init".into(), u(*initiator)),
-                ("count".into(), u(*count)),
-            ]),
+            } => jsonl!(out, "packets",
+                "step" => num(*step), "init" => num(*initiator), "count" => num(*count)),
             TraceEvent::MarkerMoved {
                 step,
                 initiator,
                 count,
-            } => Json::Obj(vec![
-                ("t".into(), "marker".to_json()),
-                ("step".into(), u(*step)),
-                ("init".into(), u(*initiator)),
-                ("count".into(), u(*count)),
-            ]),
-            TraceEvent::FaultInjected { step, proc, kind } => Json::Obj(vec![
-                ("t".into(), "fault".to_json()),
-                ("step".into(), u(*step)),
-                ("proc".into(), u(*proc)),
-                ("kind".into(), kind.to_json()),
-            ]),
-            TraceEvent::CrashRecovered { step, proc } => Json::Obj(vec![
-                ("t".into(), "recover".to_json()),
-                ("step".into(), u(*step)),
-                ("proc".into(), u(*proc)),
-            ]),
-            TraceEvent::StepProfile { step, wall_ns, ops } => Json::Obj(vec![
-                ("t".into(), "profile".to_json()),
-                ("step".into(), u(*step)),
-                ("wall_ns".into(), u(*wall_ns)),
-                ("ops".into(), u(*ops)),
-            ]),
-            TraceEvent::StepDelta { step, counters } => Json::Obj(vec![
-                ("t".into(), "delta".to_json()),
-                ("step".into(), u(*step)),
-                (
-                    "counters".into(),
-                    Json::Obj(counters.iter().map(|(k, v)| (k.clone(), u(*v))).collect()),
-                ),
-            ]),
+            } => jsonl!(out, "marker",
+                "step" => num(*step), "init" => num(*initiator), "count" => num(*count)),
+            TraceEvent::FaultInjected { step, proc, kind } => jsonl!(out, "fault",
+                "step" => num(*step), "proc" => num(*proc), "kind" => text(kind)),
+            TraceEvent::CrashRecovered { step, proc } => jsonl!(out, "recover",
+                "step" => num(*step), "proc" => num(*proc)),
+            TraceEvent::StepProfile { step, wall_ns, ops } => jsonl!(out, "profile",
+                "step" => num(*step), "wall_ns" => num(*wall_ns), "ops" => num(*ops)),
+            TraceEvent::StepDelta { step, counters } => jsonl!(out, "delta",
+                "step" => num(*step), "counters" => counter_obj(counters)),
             TraceEvent::LoadSample {
                 step,
                 min,
                 max,
                 total,
-            } => Json::Obj(vec![
-                ("t".into(), "load".to_json()),
-                ("step".into(), u(*step)),
-                ("min".into(), u(*min)),
-                ("max".into(), u(*max)),
-                ("total".into(), u(*total)),
-            ]),
-            TraceEvent::RequestRouted { step, req, shard } => Json::Obj(vec![
-                ("t".into(), "req".to_json()),
-                ("step".into(), u(*step)),
-                ("req".into(), u(*req)),
-                ("shard".into(), u(*shard)),
-            ]),
+            } => jsonl!(out, "load",
+                "step" => num(*step), "min" => num(*min), "max" => num(*max),
+                "total" => num(*total)),
+            TraceEvent::RequestRouted { step, req, shard } => jsonl!(out, "req",
+                "step" => num(*step), "req" => num(*req), "shard" => num(*shard)),
             TraceEvent::RequestCompleted {
                 step,
                 req,
                 shard,
                 latency_ticks,
-            } => Json::Obj(vec![
-                ("t".into(), "req_done".to_json()),
-                ("step".into(), u(*step)),
-                ("req".into(), u(*req)),
-                ("shard".into(), u(*shard)),
-                ("latency_ticks".into(), u(*latency_ticks)),
-            ]),
+            } => jsonl!(out, "req_done",
+                "step" => num(*step), "req" => num(*req), "shard" => num(*shard),
+                "latency_ticks" => num(*latency_ticks)),
             TraceEvent::RequestsRedirected {
                 step,
                 from,
                 to,
                 count,
-            } => Json::Obj(vec![
-                ("t".into(), "redirect".to_json()),
-                ("step".into(), u(*step)),
-                ("from".into(), u(*from)),
-                ("to".into(), u(*to)),
-                ("count".into(), u(*count)),
-            ]),
+            } => jsonl!(out, "redirect",
+                "step" => num(*step), "from" => num(*from), "to" => num(*to),
+                "count" => num(*count)),
             TraceEvent::AcceptorHandoff {
                 step,
                 from,
                 to,
                 count,
-            } => Json::Obj(vec![
-                ("t".into(), "handoff".to_json()),
-                ("step".into(), u(*step)),
-                ("from".into(), u(*from)),
-                ("to".into(), u(*to)),
-                ("count".into(), u(*count)),
-            ]),
+            } => jsonl!(out, "handoff",
+                "step" => num(*step), "from" => num(*from), "to" => num(*to),
+                "count" => num(*count)),
             TraceEvent::ArenaContender {
                 run,
                 label,
                 strategy,
                 seed,
-            } => Json::Obj(vec![
-                ("t".into(), "arena".to_json()),
-                ("run".into(), u(*run)),
-                ("label".into(), label.to_json()),
-                ("strategy".into(), strategy.to_json()),
-                ("seed".into(), u(*seed)),
-            ]),
-            TraceEvent::RunFinished { run } => Json::Obj(vec![
-                ("t".into(), "run_end".to_json()),
-                ("run".into(), u(*run)),
-            ]),
+            } => jsonl!(out, "arena",
+                "run" => num(*run), "label" => text(label),
+                "strategy" => text(strategy), "seed" => num(*seed)),
+            TraceEvent::RunFinished { run } => jsonl!(out, "run_end", "run" => num(*run)),
         }
     }
+
+    /// Parses one JSONL line back into an event.
+    pub fn from_line(line: &str) -> Result<TraceEvent, String> {
+        let v = Json::parse(line)?;
+        TraceEvent::from_json(&v)
+    }
+}
+
+/// Appends the decimal digits of `v`.
+fn num(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+fn float(out: &mut Vec<u8>, f: f64) {
+    dlb_json::write_f64(out, f);
+}
+
+fn text(out: &mut Vec<u8>, s: &str) {
+    dlb_json::write_str(out, s);
+}
+
+fn nums(out: &mut Vec<u8>, values: &[u64]) {
+    out.push(b'[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        num(out, v);
+    }
+    out.push(b']');
+}
+
+fn counter_obj(out: &mut Vec<u8>, counters: &[(String, u64)]) {
+    out.push(b'{');
+    for (i, (name, v)) in counters.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        text(out, name);
+        out.push(b':');
+        num(out, *v);
+    }
+    out.push(b'}');
 }
 
 impl FromJson for TraceEvent {
@@ -455,6 +462,15 @@ pub trait TraceSink {
     /// Flushes any buffered output (no-op by default).
     fn flush(&mut self) {}
 
+    /// Flushes, then reports the first I/O error the sink met, if any.
+    /// Recording never fails or panics: [`FileSink`] keeps a write error
+    /// until this call, so a full disk becomes an error the caller can
+    /// report instead of a panic inside an engine.
+    fn finish(&mut self) -> std::io::Result<()> {
+        self.flush();
+        Ok(())
+    }
+
     /// Whether emitters should bother constructing events. Stock sinks
     /// return `true`; [`NullSink`] returns `false`, which is what makes
     /// "tracing disabled" a single predictable branch per site.
@@ -526,8 +542,15 @@ impl TraceSink for RingSink {
 
 /// Streams events as JSONL to a buffered writer; one event per line,
 /// byte-stable for identical event sequences.
+///
+/// Each event is encoded by [`TraceEvent::write_line`] into one reused
+/// line buffer.  The first write error is kept, later writes are
+/// skipped, and [`TraceSink::finish`] (or [`FileSink::into_inner`])
+/// returns it.
 pub struct FileSink<W: std::io::Write> {
     out: std::io::BufWriter<W>,
+    line: Vec<u8>,
+    error: Option<std::io::Error>,
 }
 
 impl FileSink<std::fs::File> {
@@ -547,26 +570,54 @@ impl<W: std::io::Write> FileSink<W> {
     pub fn from_writer(w: W) -> Self {
         FileSink {
             out: std::io::BufWriter::new(w),
+            line: Vec::new(),
+            error: None,
         }
     }
 
-    /// Flushes and returns the inner writer.
-    pub fn into_inner(self) -> std::io::Result<W> {
+    /// Appends already-encoded JSONL (whole lines, as collected by a
+    /// [`JsonlBuffer`]).
+    pub fn write_jsonl(&mut self, jsonl: &[u8]) {
+        if self.error.is_none() {
+            let written = self.out.write_all(jsonl);
+            self.keep(written);
+        }
+    }
+
+    /// Flushes and returns the inner writer, or the first write error.
+    pub fn into_inner(mut self) -> std::io::Result<W> {
+        self.finish()?;
         self.out.into_inner().map_err(|e| e.into_error())
+    }
+
+    fn keep(&mut self, result: std::io::Result<()>) {
+        if let Err(e) = result {
+            self.error.get_or_insert(e);
+        }
     }
 }
 
 impl<W: std::io::Write> TraceSink for FileSink<W> {
     fn record(&mut self, event: &TraceEvent) {
-        let mut line = event.to_line();
-        line.push('\n');
-        self.out
-            .write_all(line.as_bytes())
-            .expect("trace write failed");
+        if self.error.is_none() {
+            self.line.clear();
+            event.write_line(&mut self.line);
+            self.line.push(b'\n');
+            let written = self.out.write_all(&self.line);
+            self.keep(written);
+        }
     }
 
     fn flush(&mut self) {
-        self.out.flush().expect("trace flush failed");
+        if self.error.is_none() {
+            let flushed = self.out.flush();
+            self.keep(flushed);
+        }
+    }
+
+    fn finish(&mut self) -> std::io::Result<()> {
+        self.flush();
+        self.error.take().map_or(Ok(()), Err)
     }
 }
 
@@ -607,6 +658,11 @@ impl SharedSink {
     pub fn flush(&self) {
         self.inner.lock().expect("sink lock").flush();
     }
+
+    /// Flushes the underlying sink and returns its first I/O error.
+    pub fn finish(&self) -> std::io::Result<()> {
+        self.inner.lock().expect("sink lock").finish()
+    }
 }
 
 impl std::fmt::Debug for SharedSink {
@@ -626,14 +682,19 @@ impl TraceSink for SharedSink {
         SharedSink::flush(self);
     }
 
+    fn finish(&mut self) -> std::io::Result<()> {
+        SharedSink::finish(self)
+    }
+
     fn enabled(&self) -> bool {
         self.enabled
     }
 }
 
-/// In-memory collector whose contents can be taken back out — the
-/// bridge between engine-held [`SharedSink`]s and callers that need the
-/// events afterwards (e.g. to write runs to a file in run-index order).
+/// In-memory collector whose events can be taken back out — the bridge
+/// between engine-held [`SharedSink`]s and callers that inspect the
+/// events afterwards.  Callers that only write them out later (e.g. runs
+/// in run-index order) use the cheaper [`JsonlBuffer`].
 #[derive(Clone, Default)]
 pub struct BufferSink {
     events: Arc<Mutex<Vec<TraceEvent>>>,
@@ -659,6 +720,39 @@ impl BufferSink {
 impl TraceSink for BufferSink {
     fn record(&mut self, event: &TraceEvent) {
         self.events.lock().expect("buffer lock").push(event.clone());
+    }
+}
+
+/// In-memory JSONL collector: each event is encoded by
+/// [`TraceEvent::write_line`] as it is recorded, so nothing is cloned or
+/// retained but the bytes [`FileSink::write_jsonl`] will write.
+#[derive(Clone, Default)]
+pub struct JsonlBuffer {
+    bytes: Arc<Mutex<Vec<u8>>>,
+}
+
+impl JsonlBuffer {
+    /// An empty collector.
+    pub fn new() -> Self {
+        JsonlBuffer::default()
+    }
+
+    /// A [`SharedSink`] handle feeding this collector.
+    pub fn handle(&self) -> SharedSink {
+        SharedSink::new(self.clone())
+    }
+
+    /// Takes the collected JSONL, leaving the collector empty.
+    pub fn take(&self) -> Vec<u8> {
+        std::mem::take(&mut *self.bytes.lock().expect("buffer lock"))
+    }
+}
+
+impl TraceSink for JsonlBuffer {
+    fn record(&mut self, event: &TraceEvent) {
+        let mut bytes = self.bytes.lock().expect("buffer lock");
+        event.write_line(&mut bytes);
+        bytes.push(b'\n');
     }
 }
 
@@ -829,6 +923,64 @@ mod tests {
         for (line, ev) in lines.iter().zip(sample_events()) {
             assert_eq!(TraceEvent::from_line(line).expect("parse"), ev);
         }
+    }
+
+    /// Accepts `room` bytes, then fails every write like a full disk.
+    struct FullAfter {
+        room: usize,
+    }
+
+    impl std::io::Write for FullAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn file_sink_keeps_the_first_write_error_for_finish() {
+        let mut sink = FileSink::from_writer(FullAfter { room: 100 });
+        // Far more than the BufWriter holds, so writes reach the writer.
+        for _ in 0..1000 {
+            for ev in sample_events() {
+                sink.record(&ev);
+            }
+        }
+        sink.flush();
+        assert_eq!(sink.finish().unwrap_err().to_string(), "disk full");
+
+        let mut sink = FileSink::from_writer(FullAfter { room: 0 });
+        sink.record(&TraceEvent::RunFinished { run: 0 });
+        assert!(sink.into_inner().is_err(), "into_inner reports it too");
+
+        let shared = SharedSink::new(FileSink::from_writer(FullAfter { room: 0 }));
+        shared.record(&TraceEvent::RunFinished { run: 0 });
+        assert!(shared.finish().is_err(), "and so does a shared handle");
+    }
+
+    #[test]
+    fn jsonl_buffer_collects_the_file_sink_bytes() {
+        let buf = JsonlBuffer::new();
+        let handle = buf.handle();
+        let mut direct = FileSink::from_writer(Vec::new());
+        for ev in sample_events() {
+            handle.record(&ev);
+            direct.record(&ev);
+        }
+        let collected = buf.take();
+        assert_eq!(collected, direct.into_inner().unwrap());
+        let mut copied = FileSink::from_writer(Vec::new());
+        copied.write_jsonl(&collected);
+        assert_eq!(copied.into_inner().unwrap(), collected);
+        assert!(buf.take().is_empty());
     }
 
     #[test]
